@@ -167,7 +167,7 @@ func summary(rep *conformance.Report) {
 		fired[i] = fmt.Sprintf("%s=%d", r, rep.Rewrites[r])
 	}
 	fmt.Fprintf(os.Stderr,
-		"kqconform: seed=%d cases=%d configs=%d executions=%d divergences=%d rewrites=[%s] adversarial=[%s] serve=[%s] cluster=[%s] wall=%.0fms ok=%v\n",
-		rep.Seed, rep.Cases, rep.Configs, rep.Executions, len(rep.Divergences),
+		"kqconform: seed=%d cases=%d live=%d configs=%d executions=%d divergences=%d rewrites=[%s] adversarial=[%s] serve=[%s] cluster=[%s] wall=%.0fms ok=%v\n",
+		rep.Seed, rep.Cases, rep.LiveCases, rep.Configs, rep.Executions, len(rep.Divergences),
 		strings.Join(fired, " "), adv, srv, clu, rep.WallMS, rep.OK)
 }

@@ -16,7 +16,7 @@
 //	    environment first). Pipelines without a `cat FILE` source stream
 //	    the process's standard input; output streams to standard output.
 //	    -mode selects the execution configuration, -fuse=off disables the
-//	    graph-walking fused executor (the stage-at-a-time ablation), and
+//	    optimized program's dataflow rewrites (the ablation), and
 //	    -report prints per-stage wall times, byte counts, chunk counts and
 //	    the fired optimizer rewrites to stderr, and -trace FILE writes a
 //	    Chrome trace-event JSON timeline of the run (synthesis, planning,
@@ -192,7 +192,7 @@ func runRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	k := fs.Int("k", 8, "parallelism degree")
 	mode := fs.String("mode", "optimized", "execution mode: optimized, unoptimized, serial, pipelined")
-	fuse := fs.String("fuse", "on", "graph-walking fused executor for optimized mode: on, off")
+	fuse := fs.String("fuse", "on", "dataflow rewrites (fusion, combine elision, sort-merge pushdown) in optimized mode: on, off")
 	combineWorkers := fs.Int("combine-workers", 0,
 		"combine-plane tree-reduction workers (0 = match the chunk pool)")
 	report := fs.Bool("report", false, "print the per-stage execution report to stderr")

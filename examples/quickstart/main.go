@@ -49,6 +49,9 @@ func main() {
 		fmt.Printf("  %-12s chunks=%d streamed=%v %v\n", st.Spec, st.Chunks, st.Streamed, st.Wall)
 	}
 
-	serial, _ := plan.RunSerial()
-	fmt.Printf("\nmatches serial output: %v\n", rep.Output == serial)
+	serial, err := plan.Execute(context.Background(), kumquat.WithMode(kumquat.Serial))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nmatches serial output: %v\n", rep.Output == serial.Output)
 }

@@ -43,7 +43,7 @@ type FusePair struct {
 }
 
 // FuseComparison is the BENCH_fuse.json payload: the streamer-chain
-// workload run with the graph-walking fused executor on and off at each
+// workload run with the optimized program's rewrites on and off at each
 // parallelism degree, with byte-agreement against the serial oracle and
 // the optimizer's fire counters for the compiled program.
 type FuseComparison struct {
@@ -58,8 +58,8 @@ type FuseComparison struct {
 	Agree bool `json:"agree"`
 }
 
-// CompareFusion measures the fused executor against the stage-at-a-time
-// optimized path on the streamer-chain workload at k ∈ {4, 32}. Each
+// CompareFusion measures the optimized program against the same graph
+// with its rewrites disabled on the streamer-chain workload at k ∈ {4, 32}. Each
 // configuration runs `rounds` times and reports the fastest round — the
 // comparison targets executor overhead, not scheduler noise.
 func CompareFusion(ctx context.Context, scale int) (*FuseComparison, error) {
@@ -74,7 +74,7 @@ func CompareFusion(ctx context.Context, scale int) (*FuseComparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := pipeline.Compile(script.Pipelines[0], syn)
+	plan, err := pipeline.CompileContext(ctx, script.Pipelines[0], syn)
 	if err != nil {
 		return nil, err
 	}

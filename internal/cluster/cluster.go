@@ -30,14 +30,13 @@ package cluster
 
 import (
 	"context"
-	"fmt"
+	"io"
 	"log/slog"
 	"strings"
 	"time"
 
-	"kumquat/internal/obs"
 	"kumquat/internal/pipeline"
-	"kumquat/internal/textio"
+	"kumquat/internal/unix"
 )
 
 // Runner executes a single-stage script on one input shard — the remote
@@ -183,98 +182,43 @@ func (co *Coordinator) Shards() int { return co.cfg.Shards }
 // (every run since construction) for the /metrics surface.
 func (co *Coordinator) TotalStats() StatsSnapshot { return co.total.Snapshot() }
 
-// StageStat is one stage's execution accounting from a cluster run.
-type StageStat struct {
-	// Spec is the stage's command text.
-	Spec string
-	// Remote marks stages whose shards were dispatched to workers (false
-	// = the stage ran locally: sequential, non-parallel, or
-	// non-dispatchable specs).
-	Remote bool
-	// Shards is the number of shards the stage's input split into (0
-	// when the stage ran unsharded).
-	Shards int
-	// Wall is the stage's wall-clock time, CombineWall the share spent
-	// recombining shard outputs.
-	Wall, CombineWall time.Duration
-	// BytesIn and BytesOut measure the stage's stream volume.
-	BytesIn, BytesOut int64
-}
-
-// ExecutePlan runs one compiled pipeline over the cluster: parallel
-// stages shard their input and dispatch to workers, everything else runs
-// locally on the coordinator, and stage boundaries are barriers (the
-// u_k configuration with remote leaves). It returns the output stream,
-// per-stage accounting, and the run's dispatch stats.
-func (co *Coordinator) ExecutePlan(ctx context.Context, plan *pipeline.Plan, corpus string, combineWorkers int) (string, []StageStat, *Stats, error) {
-	return co.executePlan(ctx, plan, corpus, textio.LineSeq{}, false, combineWorkers)
-}
-
-// ExecutePlanSeq is ExecutePlan over a pre-indexed corpus: the first
-// stage's shards come from the shared ingest line index (computed once
-// when the corpus was registered) instead of a fresh boundary scan, so
-// repeated dispatches of one multi-GB corpus never re-walk it.
-func (co *Coordinator) ExecutePlanSeq(ctx context.Context, plan *pipeline.Plan, corpus textio.LineSeq, combineWorkers int) (string, []StageStat, *Stats, error) {
-	return co.executePlan(ctx, plan, corpus.Str(), corpus, true, combineWorkers)
-}
-
-func (co *Coordinator) executePlan(ctx context.Context, plan *pipeline.Plan, corpus string, ingest textio.LineSeq, haveIngest bool, combineWorkers int) (string, []StageStat, *Stats, error) {
+// ExecutePlan runs one compiled pipeline over the cluster: the pipeline
+// executor walks the plan's unoptimized program (one region per stage,
+// every exit a combine, stage boundaries as barriers — the u_k
+// configuration) with the coordinator as its chunk runner, so
+// dispatchable stages shard their input across the workers and every
+// other stage runs unsharded on the coordinator. The pipeline reads its
+// input file from env, or stdin, and writes its output to out. It
+// returns per-stage metrics (a stage's Chunks count its shards) and the
+// run's dispatch stats.
+func (co *Coordinator) ExecutePlan(ctx context.Context, plan *pipeline.Plan, env *unix.Env, stdin io.Reader, out io.Writer, combineWorkers int) ([]pipeline.StageMetrics, *Stats, error) {
 	st := &Stats{}
-	data := corpus
-	var stages []StageStat
-	for si, sp := range plan.Stages {
-		if si > 0 {
-			haveIngest = false // the ingest index only describes stage 0's input
-		}
-		if err := ctx.Err(); err != nil {
-			return "", stages, st, err
-		}
-		stat := StageStat{Spec: sp.Spec, BytesIn: int64(len(data))}
-		sctx, ssp := obs.StartSpan(ctx, "cluster-stage")
-		ssp.Attr("spec", sp.Spec)
-		start := time.Now()
-		var next string
-		var err error
-		if co.dispatchable(sp) {
-			var chunks []string
-			if haveIngest {
-				chunks = ingest.Chunk(co.cfg.Shards)
-			} else {
-				chunks = textio.ChunkLines(data, co.cfg.Shards)
-			}
-			ssp.AttrInt("shards", int64(len(chunks)))
-			var outs []string
-			outs, err = co.runShards(sctx, sp, chunks, st)
-			if err == nil {
-				stat.Remote = true
-				stat.Shards = len(chunks)
-				_, csp := obs.StartSpan(sctx, "combine")
-				csp.AttrInt("parts", int64(len(outs)))
-				cstart := time.Now()
-				next, err = sp.Synth.Combiner.CombineKTree(outs, combineWorkers)
-				stat.CombineWall = time.Since(cstart)
-				csp.End()
-				if err != nil {
-					err = fmt.Errorf("cluster: stage %q combine: %w", sp.Spec, err)
-				}
-			}
-		} else {
-			next, err = sp.Cmd.Run(data)
-			if err != nil {
-				err = fmt.Errorf("cluster: stage %q: %w", sp.Spec, err)
-			}
-		}
-		ssp.End()
-		if err != nil {
-			return "", stages, st, err
-		}
-		stat.Wall = time.Since(start)
-		stat.BytesOut = int64(len(next))
-		stages = append(stages, stat)
-		data = next
+	ms, err := plan.Execute(ctx, env, stdin, out, pipeline.ModeUnoptimized, co.cfg.Shards,
+		pipeline.WithCombineWorkers(combineWorkers),
+		pipeline.WithChunkRunner(shardRunner{co: co, st: st}))
+	if err == nil {
+		co.total.AddAll(st)
 	}
-	co.total.AddAll(st)
-	return data, stages, st, nil
+	return ms, st, err
+}
+
+// shardRunner is the executor's chunk runner for one ExecutePlan call:
+// each chunk of a dispatchable stage is a shard on the workers, counted
+// in the call's Stats.
+type shardRunner struct {
+	co *Coordinator
+	st *Stats
+}
+
+// Span names the executor's per-stage spans.
+func (r shardRunner) Span() string { return "cluster-stage" }
+
+// Takes reports whether the stage dispatches to the workers.
+func (r shardRunner) Takes(sp *pipeline.StagePlan) bool { return r.co.dispatchable(sp) }
+
+// RunChunks runs the stage's shards across the cluster.
+func (r shardRunner) RunChunks(ctx context.Context, sp *pipeline.StagePlan, chunks []string) ([]string, error) {
+	return r.co.runShards(ctx, sp, chunks, r.st)
 }
 
 // dispatchable reports whether a stage's shards may run remotely: the

@@ -96,6 +96,14 @@ func serialRun(t *testing.T, plan *pipeline.Plan, corpus string) string {
 	return data
 }
 
+// execute runs the plan through the coordinator with corpus as its
+// standard input, returning the captured output.
+func execute(ctx context.Context, co *Coordinator, plan *pipeline.Plan, corpus string) (string, []pipeline.StageMetrics, *Stats, error) {
+	var out strings.Builder
+	ms, st, err := co.ExecutePlan(ctx, plan, unix.DefaultEnv(), strings.NewReader(corpus), &out, 0)
+	return out.String(), ms, st, err
+}
+
 // testConfig returns a Config with fake runners and test-scale timings.
 func testConfig(runners map[string]*fakeRunner, addrs ...string) Config {
 	return Config{
@@ -125,7 +133,7 @@ func TestExecutePlanMatchesSerial(t *testing.T) {
 	co := New(testConfig(runners, "a", "b", "c"))
 	plan := compilePlan(t, "sort | uniq -c")
 
-	out, stages, st, err := co.ExecutePlan(context.Background(), plan, testCorpus, 0)
+	out, stages, st, err := execute(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +146,10 @@ func TestExecutePlanMatchesSerial(t *testing.T) {
 	}
 	remote := 0
 	for _, sg := range stages {
-		if sg.Remote {
+		if sg.Chunks > 0 {
 			remote++
-			if sg.Shards != 3 {
-				t.Fatalf("stage %q sharded %d ways, want 3", sg.Spec, sg.Shards)
+			if sg.Chunks != 3 {
+				t.Fatalf("stage %q sharded %d ways, want 3", sg.Spec, sg.Chunks)
 			}
 		}
 	}
@@ -162,7 +170,7 @@ func TestRetryFailover(t *testing.T) {
 	co := New(testConfig(runners, "bad", "good"))
 	plan := compilePlan(t, "sort")
 
-	out, _, st, err := co.ExecutePlan(context.Background(), plan, testCorpus, 0)
+	out, _, st, err := execute(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +204,7 @@ func TestLocalFallback(t *testing.T) {
 	co := New(cfg)
 	plan := compilePlan(t, "sort | uniq -c")
 
-	out, _, st, err := co.ExecutePlan(context.Background(), plan, testCorpus, 0)
+	out, _, st, err := execute(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +240,7 @@ func TestSpeculationWins(t *testing.T) {
 	co := New(cfg)
 	plan := compilePlan(t, "sort")
 
-	out, _, st, err := co.ExecutePlan(context.Background(), plan, testCorpus, 0)
+	out, _, st, err := execute(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +280,7 @@ func TestEjectionReadmission(t *testing.T) {
 	co := New(cfg)
 	plan := compilePlan(t, "sort")
 
-	out, _, st, err := co.ExecutePlan(context.Background(), plan, testCorpus, 0)
+	out, _, st, err := execute(context.Background(), co, plan, testCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +336,7 @@ func TestEmptyShardsStillRun(t *testing.T) {
 	co := New(cfg)
 	plan := compilePlan(t, "wc -l")
 	corpus := "x\ny\n"
-	out, _, st, err := co.ExecutePlan(context.Background(), plan, corpus, 0)
+	out, _, st, err := execute(context.Background(), co, plan, corpus)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,6 +51,7 @@ func (l *latencies) quantile(q float64) (time.Duration, bool) {
 // concurrently, returning the per-shard outputs in shard order (the
 // order CombineKTree needs for byte-identity with the local combine).
 func (co *Coordinator) runShards(ctx context.Context, sp *pipeline.StagePlan, chunks []string, st *Stats) ([]string, error) {
+	obs.FromContext(ctx).AttrInt("shards", int64(len(chunks)))
 	outs := make([]string, len(chunks))
 	errs := make([]error, len(chunks))
 	lat := &latencies{}

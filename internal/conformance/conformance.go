@@ -72,6 +72,9 @@ type Report struct {
 	// Configs is the number of execution configurations each case ran
 	// under (in addition to the serial oracle run).
 	Configs int `json:"configs"`
+	// LiveCases counts the stdin-sourced cases, which ran every
+	// configuration a second time over a live stdin.
+	LiveCases int `json:"live_cases"`
 	// Executions counts every plan execution, oracle runs included.
 	Executions int `json:"executions"`
 	// Rewrites counts, per rule, how often the dataflow optimizer's
@@ -124,6 +127,9 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		}
 		oracles = append(oracles, oracle)
 		rep.Executions += execs
+		if c.Source == "" {
+			rep.LiveCases++
+		}
 		for rule, n := range plan.Rewrites() {
 			rep.Rewrites[rule] += n
 		}

@@ -116,9 +116,12 @@ func TestSuiteHealthy(t *testing.T) {
 	if len(rep.Divergences) != 0 {
 		t.Fatalf("unexpected divergences: %+v", rep.Divergences)
 	}
-	wantExecs := rep.Cases * (rep.Configs + 1)
+	if rep.LiveCases == 0 {
+		t.Fatal("no stdin-sourced case exercised the live-stdin variants")
+	}
+	wantExecs := rep.Cases*(rep.Configs+1) + rep.LiveCases*rep.Configs
 	if rep.Executions != wantExecs {
-		t.Fatalf("executions = %d, want %d (cases × (configs + oracle))", rep.Executions, wantExecs)
+		t.Fatalf("executions = %d, want %d (cases × (configs + oracle) + live cases × configs)", rep.Executions, wantExecs)
 	}
 	if rep.Serve == nil || rep.Serve.Cases != 12 || len(rep.Serve.Divergences) != 0 {
 		t.Fatalf("serve replay unhealthy: %+v", rep.Serve)
@@ -144,7 +147,8 @@ func TestStressCombinersHealthy(t *testing.T) {
 }
 
 // TestRunCaseCountsExecutions: RunCase must execute oracle + one run per
-// config.
+// config, and a stdin-sourced case one more run per config over a live
+// stdin.
 func TestRunCaseCountsExecutions(t *testing.T) {
 	sys := kumquat.New(kumquat.NewEnv())
 	c := &Case{Script: "sort | uniq -c\n", Corpus: "b\na\nb\n", Profile: "hand"}
@@ -156,7 +160,7 @@ func TestRunCaseCountsExecutions(t *testing.T) {
 	if len(divs) != 0 {
 		t.Fatalf("hand case diverged: %+v", divs)
 	}
-	if execs != len(configs)+1 {
-		t.Fatalf("execs = %d, want %d", execs, len(configs)+1)
+	if execs != 2*len(configs)+1 {
+		t.Fatalf("execs = %d, want %d", execs, 2*len(configs)+1)
 	}
 }

@@ -3,6 +3,7 @@ package conformance
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 
 	"kumquat"
@@ -19,11 +20,16 @@ type Config struct {
 	K int `json:"k"`
 	// CombineWorkers bounds the combine plane (0 = default).
 	CombineWorkers int `json:"combine_workers,omitempty"`
-	// NoFuse disables the graph-walking fused executor for optimized-mode
-	// rows, pinning the legacy stage-at-a-time path. Fusion is on by
-	// default, so the plain optimized rows exercise the fused program and
-	// these are the explicit fuse-off ablation.
+	// NoFuse walks optimized-mode rows over the program with the dataflow
+	// rewrites disabled. Fusion is on by default, so the plain optimized
+	// rows exercise the fused program and these are the explicit fuse-off
+	// ablation.
 	NoFuse bool `json:"no_fuse,omitempty"`
+	// Live feeds a stdin-sourced case's corpus through a reader that hides
+	// its concrete type and returns short reads, so the executor sees a
+	// live external stream instead of materialized input. Every
+	// stdin-sourced case runs each configuration both ways.
+	Live bool `json:"live,omitempty"`
 }
 
 // Configs enumerates the sweep every case runs under: optimized and
@@ -81,7 +87,8 @@ type oracleResult struct {
 }
 
 // RunCase compiles one case and executes it under every config,
-// byte-diffing each result against the serial oracle. It returns the
+// byte-diffing each result against the serial oracle; a stdin-sourced
+// case runs every config a second time with Live set. It returns the
 // divergences and the number of executions performed (oracle included).
 // A compile error is a generator bug and is returned as err.
 func RunCase(ctx context.Context, sys *kumquat.System, c *Case, configs []Config) ([]Divergence, int, error) {
@@ -102,6 +109,14 @@ func runCase(ctx context.Context, sys *kumquat.System, c *Case, configs []Config
 	oracle := oracleResult{out: want, err: wantErr}
 	execs := 1
 	var divs []Divergence
+	if c.Source == "" {
+		live := make([]Config, len(configs))
+		for i, cfg := range configs {
+			cfg.Live = true
+			live[i] = cfg
+		}
+		configs = append(configs[:len(configs):len(configs)], live...)
+	}
 	for _, cfg := range configs {
 		got, gotErr := execCase(ctx, plan, c, cfg)
 		execs++
@@ -128,7 +143,7 @@ func compileCase(ctx context.Context, sys *kumquat.System, c *Case) (*kumquat.Pl
 
 // execCase runs the compiled plan under one configuration and returns
 // the output stream (the corpus streams in as stdin for stdin-sourced
-// cases).
+// cases, behind a liveReader when cfg.Live is set).
 func execCase(ctx context.Context, plan *kumquat.Plan, c *Case, cfg Config) (string, error) {
 	mode, err := kumquat.ParseMode(cfg.Mode)
 	if err != nil {
@@ -144,7 +159,11 @@ func execCase(ctx context.Context, plan *kumquat.Plan, c *Case, cfg Config) (str
 	if cfg.NoFuse {
 		opts = append(opts, kumquat.WithFuse(false))
 	}
-	if c.Source == "" {
+	switch {
+	case c.Source != "":
+	case cfg.Live:
+		opts = append(opts, kumquat.WithStdin(&liveReader{rest: c.Corpus}))
+	default:
 		opts = append(opts, kumquat.WithStdin(strings.NewReader(c.Corpus)))
 	}
 	rep, err := plan.Execute(ctx, opts...)
@@ -152,6 +171,27 @@ func execCase(ctx context.Context, plan *kumquat.Plan, c *Case, cfg Config) (str
 		return "", err
 	}
 	return rep.Output, nil
+}
+
+// liveReadSize is the liveReader's read size: small and odd, so reads
+// split lines and multi-byte runes.
+const liveReadSize = 7
+
+// liveReader serves a corpus in short reads behind an opaque type — a
+// stand-in for a pipe or socket, which the executor must treat as a live
+// stream rather than materialized input.
+type liveReader struct {
+	rest string
+}
+
+// Read copies at most liveReadSize bytes of the remaining corpus.
+func (r *liveReader) Read(p []byte) (int, error) {
+	if r.rest == "" {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), liveReadSize)], r.rest)
+	r.rest = r.rest[n:]
+	return n, nil
 }
 
 // diverges compares a configuration's result to the oracle's. Errors

@@ -28,7 +28,7 @@ func compile(t *testing.T, eng *synth.Engine, script string) *pipeline.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := pipeline.Compile(s.Pipelines[0], eng)
+	plan, err := pipeline.CompileContext(context.Background(), s.Pipelines[0], eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,8 @@ var propertyPipelines = []string{
 }
 
 // TestFusedByteIdenticalToStaged is the plane's core property: for every
-// pipeline × corpus × k ∈ {1, 4, GOMAXPROCS}, the fused graph-walking
-// execution, the unfused stage-at-a-time execution and the serial oracle
+// pipeline × corpus × k ∈ {1, 4, GOMAXPROCS}, the fused program, the
+// program with its rewrites disabled and the serial oracle
 // produce byte-identical output.
 func TestFusedByteIdenticalToStaged(t *testing.T) {
 	eng := newSynth()
@@ -209,7 +209,7 @@ func TestRunInfoReportsRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !info.Fused {
-		t.Fatal("fused executor did not run")
+		t.Fatal("run did not walk the fused program")
 	}
 	if info.Rewrites["fuse-streamers"] != 2 {
 		t.Errorf("run info rewrites = %v, want fuse-streamers=2", info.Rewrites)

@@ -11,8 +11,9 @@ import (
 // over a chunk exactly the bytes the staged execution produces in
 // len(mappers) passes — without materializing any intermediate stream.
 //
-// It implements unix.LineMapper, so every existing execution surface
-// (streaming via unix.Exec, chunk runs via Run) accepts it unchanged.
+// It implements unix.LineMapper and unix.LineSinker, so every execution
+// surface (streaming via unix.Exec, chunk runs via Run) accepts it
+// unchanged, and a streamed fused region composes its chain once.
 type FusedMapper struct {
 	spec    string
 	mappers []unix.LineMapper
@@ -59,14 +60,16 @@ func (f *FusedMapper) collect(depth int, line string, out *[]string) {
 // share one FusedMapper across parallel chunk goroutines; stages that
 // implement unix.LineEmitter run allocation-free inside it (scratch
 // reuse, transient views consumed depth-first before the next line).
-// MapLine exists for the streaming surface.
 func (f *FusedMapper) Run(input string) (string, error) {
 	if input == "" {
 		return "", nil
 	}
 	var b strings.Builder
 	b.Grow(len(input))
-	sink := f.newSink(&b)
+	sink := f.NewSink(func(line string) {
+		b.WriteString(line)
+		b.WriteByte('\n')
+	})
 	rest := input
 	for rest != "" {
 		var line string
@@ -80,16 +83,14 @@ func (f *FusedMapper) Run(input string) (string, error) {
 	return b.String(), nil
 }
 
-// newSink composes the stage chain backwards from the terminal writer
-// into one per-line function. Every emitted line is fully processed by
+// NewSink composes the stage chain backwards from emit into one
+// per-line function, with scratch of its own, so each stream or chunk
+// run composes its own sink. Every emitted line is fully processed by
 // the downstream stages before the emitting stage sees the next one, so
 // each emitter's transient scratch views stay valid exactly as long as
 // they are needed.
-func (f *FusedMapper) newSink(b *strings.Builder) unix.EmitFunc {
-	sink := unix.EmitFunc(func(line string) {
-		b.WriteString(line)
-		b.WriteByte('\n')
-	})
+func (f *FusedMapper) NewSink(emit unix.EmitFunc) unix.EmitFunc {
+	sink := emit
 	for d := len(f.mappers) - 1; d >= 0; d-- {
 		next := sink
 		if le, ok := unix.AsLineEmitter(f.mappers[d]); ok {

@@ -6,10 +6,12 @@
 // Order-Aware Dataflow Model for Parallel Unix Pipelines" applied to the
 // KumQuat combiner taxonomy).
 //
-// pipeline.Compile lowers every linear script into a Graph and runs
-// Optimize over it; the optimized Program drives the fused executor in
-// internal/pipeline, which runs fused regions chunk-parallel end to end
-// instead of combining and re-splitting at every stage boundary.
+// pipeline.CompileContext lowers every linear script into a Graph and
+// runs Optimize over it. The executor in internal/pipeline walks the
+// resulting Program in every mode: the optimized program runs fused
+// regions chunk-parallel end to end instead of combining and re-splitting
+// at every stage boundary, and the other modes walk the same graph
+// optimized with rules disabled.
 package dataflow
 
 import (

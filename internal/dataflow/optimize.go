@@ -27,10 +27,12 @@ const (
 	// heap merge, the downstream streaming stage consumes it lazily
 	// through unix.SortCmd.MergeReader.
 	RulePushSortMerge Rule = "push-sort-merge"
-	// RuleTheorem5 is the legacy intermediate-combiner elimination
+	// RuleTheorem5 is the paper's intermediate-combiner elimination
 	// (exact-closed stage feeding a parallel consumer). It predates the
-	// dataflow plane and is tagged on regions for the dump, but not
-	// counted among the three new rewrites.
+	// dataflow plane: it is tagged on regions, and the planner derives
+	// StagePlan.Eliminated from the tags, but it is not counted among the
+	// three new rewrites. Disabling it with the three rewrites yields the
+	// unoptimized program, in which every region exit combines.
 	RuleTheorem5 Rule = "theorem5"
 )
 
@@ -84,6 +86,9 @@ type Region struct {
 	// Parallel marks regions executed chunk-parallel (every member stage
 	// is planner-parallel).
 	Parallel bool
+	// Streamable marks regions that can consume a live stream with output
+	// identical to their chunked execution (see streamableRegion).
+	Streamable bool
 	// Exit is the region's output disposition after a chunk-parallel run.
 	Exit ExitKind
 	// Rules tags the rewrites that fired on this region or its outgoing
@@ -91,7 +96,7 @@ type Region struct {
 	Rules []Rule
 }
 
-// Program is the optimizer's output: the region sequence the fused
+// Program is the optimizer's output: the region sequence the pipeline
 // executor walks, plus the per-rule fire counters.
 type Program struct {
 	// Graph is the IR the program was optimized from.
@@ -105,9 +110,11 @@ type Program struct {
 
 // Options tunes Optimize.
 type Options struct {
-	// Disable turns individual rewrites off (the -fuse=off path disables
-	// all three at once by not running the program; Disable exists for
-	// finer-grained ablation in tests and benchmarks).
+	// Disable turns individual rewrites off. The executor's modes are
+	// settings of it: -fuse=off walks the program with the three new
+	// rewrites disabled (Theorem 5 splits kept), and the unoptimized,
+	// serial and pipelined modes walk it with RuleTheorem5 disabled too.
+	// Tests and benchmarks disable single rules for ablation.
 	Disable map[Rule]bool
 	// UnsafeAssumeOrderInsensitive makes RuleElideCombine treat every
 	// consumer as order-insensitive — a deliberately broken legality
@@ -136,7 +143,7 @@ func Optimize(g *Graph, opts Options) *Program {
 			}
 		}
 		if j-i >= 2 {
-			r := &Region{Fused: true, Parallel: true, Rules: []Rule{RuleFuseStreamers}}
+			r := &Region{Fused: true, Parallel: true, Streamable: true, Rules: []Rule{RuleFuseStreamers}}
 			var mappers []unix.LineMapper
 			var specs []string
 			for id := i; id < j; id++ {
@@ -152,7 +159,7 @@ func Optimize(g *Graph, opts Options) *Program {
 			continue
 		}
 		n := g.Nodes[i]
-		p.Regions = append(p.Regions, &Region{Nodes: []int{i}, Parallel: n.Stage.Parallel})
+		p.Regions = append(p.Regions, &Region{Nodes: []int{i}, Parallel: n.Stage.Parallel, Streamable: streamableNode(n)})
 		i++
 	}
 	// Pass 2: decide exits at region boundaries. The final region always
@@ -165,6 +172,7 @@ func Optimize(g *Graph, opts Options) *Program {
 		last := g.Nodes[r.Nodes[len(r.Nodes)-1]]
 		cl := regionClosure(r, last)
 		nextOI := consumerOrderInsensitive(g, next, opts)
+		theorem5 := cl == ClosureExact && next.Parallel
 		switch {
 		case cl != ClosureNone && nextOI:
 			// Rule 2: the consumer cannot observe the permutation.
@@ -173,22 +181,23 @@ func Optimize(g *Graph, opts Options) *Program {
 			} else {
 				r.Exit = ExitConcat
 			}
-			if cl == ClosureExact && next.Parallel {
+			switch {
+			case theorem5 && !opts.disabled(RuleTheorem5):
 				// Theorem 5 alone already licenses this split; count the
 				// elision for the legacy rule so the new-rule counters
 				// measure genuinely new elisions.
 				r.Rules = append(r.Rules, RuleTheorem5)
-			} else if !opts.disabled(RuleElideCombine) {
+			case !theorem5 && !opts.disabled(RuleElideCombine):
 				r.Rules = append(r.Rules, RuleElideCombine)
 				p.Fired[RuleElideCombine]++
-			} else {
+			default:
 				r.Exit = ExitCombine
 			}
-		case cl == ClosureExact && next.Parallel:
+		case theorem5 && !opts.disabled(RuleTheorem5):
 			// Theorem 5: exact closure feeds any parallel consumer.
 			r.Exit = ExitSplit
 			r.Rules = append(r.Rules, RuleTheorem5)
-		case !opts.disabled(RulePushSortMerge) && sortClass(last) && streamableRegion(g, next):
+		case !opts.disabled(RulePushSortMerge) && sortClass(last) && next.Streamable:
 			// Rule 3: the combine happens, but lazily, inside the
 			// downstream stage's read loop.
 			r.Exit = ExitMerge
@@ -241,16 +250,12 @@ func consumerOrderInsensitive(g *Graph, next *Region, opts Options) bool {
 	return g.Nodes[next.Nodes[0]].OrderInsensitive
 }
 
-// streamableRegion reports whether the region can consume a live stream
-// with output identical to its chunked execution: fused regions are line
-// mappers (always streamable), single parallel stages must be streamable
-// with a concat combiner (streamed output equals chunk-and-concat), and
-// single serial stages need only the streaming capability.
-func streamableRegion(g *Graph, r *Region) bool {
-	if r.Fused {
-		return true
-	}
-	n := g.Nodes[r.Nodes[0]]
+// streamableNode reports whether a single-stage region can consume a live
+// stream with output identical to its chunked execution: parallel stages
+// must be streamable with a concat combiner (streamed output equals
+// chunk-and-concat), and serial stages need only the streaming
+// capability. Fused regions are line mappers, always streamable.
+func streamableNode(n *Node) bool {
 	if !n.Streamable {
 		return false
 	}

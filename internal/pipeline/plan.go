@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"kumquat/internal/dataflow"
 	"kumquat/internal/synth"
@@ -23,9 +24,11 @@ type StagePlan struct {
 	// significant stream reduction: parallelizing them costs more than it
 	// saves, so they run serially (§2's tr -cs decision).
 	Sequential bool
-	// Eliminated marks parallel stages whose combiner the optimizer removed
-	// per Theorem 5: their output substreams feed the next parallel stage
-	// directly.
+	// Eliminated marks parallel stages whose combiner the optimized
+	// program removes: non-last members of a fused region, and the last
+	// member of a region whose split exit Theorem 5 licenses. Their output
+	// substreams feed the next parallel stage directly. Lowering derives
+	// it from Program.
 	Eliminated bool
 	// StreamOutput records whether the command's outputs terminate with
 	// newlines — Theorem 5's precondition (tr -d '\n' violates it).
@@ -41,24 +44,20 @@ type Plan struct {
 	// the shared engine, unlike a windowed Stats delta).
 	SynthStats cache.Stats
 	// Graph is the pipeline lowered into the order-aware dataflow IR, and
-	// Program is the optimizer's region sequence over it — the fused
-	// executor's input (stream.go's graph-walking mode).
+	// Program is the optimizer's region sequence over it: the program the
+	// optimized mode walks. The other modes walk Graph optimized with
+	// rules disabled (see Plan.program).
 	Graph   *dataflow.Graph
 	Program *dataflow.Program
 }
 
-// Compile synthesizes a combiner for every stage and applies the paper's
-// two planning decisions: sequential execution of non-reducing rerun
-// stages, and intermediate combiner elimination (§3.5). Repeated stages —
-// within one pipeline or across pipelines compiled through the same
-// engine — resolve from the engine's combiner cache instead of re-running
-// synthesis.
-func Compile(p *Pipeline, eng *synth.Engine) (*Plan, error) {
-	return CompileContext(context.Background(), p, eng)
-}
-
-// CompileContext is Compile with cancellation: a cancelled ctx aborts the
-// in-flight stage synthesis mid-round and returns ctx.Err().
+// CompileContext synthesizes a combiner for every stage and applies the
+// paper's two planning decisions: sequential execution of non-reducing
+// rerun stages, and intermediate combiner elimination (§3.5, decided by
+// the optimizer). Repeated stages — within one pipeline or across
+// pipelines compiled through the same engine — resolve from the engine's
+// combiner cache instead of re-running synthesis. A cancelled ctx aborts
+// the in-flight stage synthesis mid-round and returns ctx.Err().
 func CompileContext(ctx context.Context, p *Pipeline, eng *synth.Engine) (*Plan, error) {
 	plan := &Plan{InputFile: p.InputFile}
 	for _, spec := range p.Stages {
@@ -88,23 +87,13 @@ func CompileContext(ctx context.Context, p *Pipeline, eng *synth.Engine) (*Plan,
 		sp.StreamOutput = probeStreamOutput(cmd)
 		plan.Stages = append(plan.Stages, sp)
 	}
-	// Theorem 5: a parallel stage whose combiner is concat and whose
-	// outputs are streams feeds its substreams directly into a following
-	// parallel stage; the intermediate combiner disappears. The final
-	// stage always combines (a single output stream must emerge).
-	for i := 0; i+1 < len(plan.Stages); i++ {
-		cur, next := plan.Stages[i], plan.Stages[i+1]
-		if cur.Parallel && cur.StreamOutput && next.Parallel &&
-			cur.Synth.Combiner.IsConcat() {
-			cur.Eliminated = true
-		}
-	}
 	plan.lower(dataflow.Options{})
 	return plan, nil
 }
 
-// lower builds the plan's dataflow IR and optimized program. Compile runs
-// it with default options; tests re-lower with ablation or
+// lower builds the plan's dataflow IR and optimized program, and derives
+// each stage's Eliminated verdict from the program. CompileContext
+// runs it with default options; tests re-lower with ablation or
 // deliberately-unsound options to pin the optimizer's behaviour.
 func (p *Plan) lower(opts dataflow.Options) {
 	stages := make([]dataflow.Stage, len(p.Stages))
@@ -120,12 +109,48 @@ func (p *Plan) lower(opts dataflow.Options) {
 	}
 	p.Graph = dataflow.Build(p.InputFile, stages)
 	p.Program = dataflow.Optimize(p.Graph, opts)
+	for _, r := range p.Program.Regions {
+		last := len(r.Nodes) - 1
+		for i, id := range r.Nodes {
+			p.Stages[id].Eliminated = i < last || slices.Contains(r.Rules, dataflow.RuleTheorem5)
+		}
+	}
 }
 
 // Relower rebuilds the plan's optimized program under explicit optimizer
 // options (ablating rules, or the deliberately-unsound legality knobs the
 // conformance regression tests use).
 func (p *Plan) Relower(opts dataflow.Options) { p.lower(opts) }
+
+// The rule sets the non-default programs disable: the three dataflow
+// rewrites for -fuse=off, and Theorem 5 as well for the unoptimized
+// program (one region per stage, every exit a combine).
+var (
+	rewriteRules = map[dataflow.Rule]bool{
+		dataflow.RuleFuseStreamers: true,
+		dataflow.RuleElideCombine:  true,
+		dataflow.RulePushSortMerge: true,
+	}
+	allRules = map[dataflow.Rule]bool{
+		dataflow.RuleFuseStreamers: true,
+		dataflow.RuleElideCombine:  true,
+		dataflow.RulePushSortMerge: true,
+		dataflow.RuleTheorem5:      true,
+	}
+)
+
+// program returns the region program a mode walks: Program for an
+// optimized run with fusion on, otherwise the graph re-optimized with the
+// mode's rules disabled.
+func (p *Plan) program(mode Mode, fuse bool) *dataflow.Program {
+	switch {
+	case mode != ModeOptimized:
+		return dataflow.Optimize(p.Graph, dataflow.Options{Disable: allRules})
+	case !fuse:
+		return dataflow.Optimize(p.Graph, dataflow.Options{Disable: rewriteRules})
+	}
+	return p.Program
+}
 
 // probeStreamOutput checks Theorem 5's precondition on sample inputs: the
 // command must produce newline-terminated (or empty) output.

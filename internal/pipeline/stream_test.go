@@ -20,7 +20,7 @@ func TestExecuteModesAgree(t *testing.T) {
 	syn := newSynth()
 	syn.Env.FS.Register("in.txt", "Some Light text\nmore WORDS here\nlight Again\n")
 	plan := compilePlan(t, syn, "cat in.txt | tr A-Z a-z | sort | uniq -c\n")
-	want, err := plan.RunSerial(syn.Env, "")
+	want, err := run(plan, syn.Env, "", ModeSerial, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,6 +192,10 @@ func streamLineMapper(ctx context.Context, lm LineMapper, r io.Reader, w io.Writ
 			emitErr = bw.writeLine(out)
 		}
 	}
+	var sink EmitFunc
+	if ls, ok := lm.(LineSinker); ok {
+		sink = ls.NewSink(emit)
+	}
 	for n := 0; ; n++ {
 		if n&63 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -205,17 +209,18 @@ func streamLineMapper(ctx context.Context, lm LineMapper, r io.Reader, w io.Writ
 		if err != nil {
 			return err
 		}
-		if fast {
+		switch {
+		case sink != nil:
+			sink(line)
+		case fast:
 			le.EmitLine(line, &scratch, emit)
-			if emitErr != nil {
-				return emitErr
+		default:
+			for _, out := range lm.MapLine(line) {
+				emit(out)
 			}
-			continue
 		}
-		for _, out := range lm.MapLine(line) {
-			if err := bw.writeLine(out); err != nil {
-				return err
-			}
+		if emitErr != nil {
+			return emitErr
 		}
 	}
 	return bw.flush()

@@ -24,6 +24,17 @@ type LineEmitter interface {
 	EmitLine(line string, scratch *[]byte, emit EmitFunc)
 }
 
+// LineSinker is a line mapper that composes its per-line pass once per
+// stream: NewSink returns a function that maps one input line and hands
+// each output line to emit, owning whatever scratch state that stream
+// needs. The streaming path prefers it over MapLine — a fused chain of
+// emitters composes once, not per line.
+type LineSinker interface {
+	LineMapper
+	// NewSink returns the stream's per-line function over emit.
+	NewSink(emit EmitFunc) EmitFunc
+}
+
 // AsLineEmitter probes a command's zero-allocation line-mapping
 // capability. The gate is AsLineMapper's: a command whose flags make it
 // line-dependent (tr -s, grep -c, sed Nq) is not an emitter either.

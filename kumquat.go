@@ -14,7 +14,8 @@
 //
 //	// Or parallelize a whole pipeline:
 //	plan, err := sys.Parallelize("cat in.txt | tr -cs A-Za-z '\n' | sort | uniq -c")
-//	out, err := plan.Run(16)
+//	rep, err := plan.Execute(ctx, kumquat.WithParallelism(16))
+//	fmt.Print(rep.Output)
 //
 // Commands are the pure-Go substrate in internal/unix; they behave like
 // their GNU counterparts for the flag combinations the paper's benchmarks
@@ -73,6 +74,11 @@ func (e *Env) Read(name string) (string, error) { return e.u.FS.Read(name) }
 // ReadSeq returns a registered file's shared line index (computed once
 // at ingest; see unix.FS.ReadSeq).
 func (e *Env) ReadSeq(name string) (textio.LineSeq, error) { return e.u.FS.ReadSeq(name) }
+
+// Unix returns the command environment underneath, for execution planes
+// outside this package: kumquatd's cluster coordinator runs
+// PipelinePlans against it.
+func (e *Env) Unix() *unix.Env { return e.u }
 
 // Close releases resources the environment owns — today, the memory
 // mappings behind RegisterFile. Call only once no output or view derived
@@ -297,9 +303,9 @@ func (p *Plan) Inputs() []string {
 }
 
 // PipelinePlans exposes the compiled per-pipeline plans for execution
-// planes outside this package — kumquatd's cluster coordinator walks the
-// stages itself to dispatch shards to remote workers. The slice is
-// shared with the Plan, not copied.
+// planes outside this package — kumquatd's cluster coordinator executes
+// them with its remote chunk runner. The slice is shared with the Plan,
+// not copied.
 func (p *Plan) PipelinePlans() []*pipeline.Plan { return p.plans }
 
 // OutputFiles returns each pipeline's `> FILE` redirect target, in
@@ -346,20 +352,23 @@ type StageInfo struct {
 }
 
 // Mode selects an execution configuration for Plan.Execute; the four
-// values mirror the paper's measurement setups.
+// values mirror the paper's measurement setups. Each is a setting of the
+// one executor, which walks a region program of the pipeline's dataflow
+// graph in every mode.
 type Mode int
 
 const (
-	// Optimized is T_k: the optimized data-parallel pipeline with combiner
-	// elimination and streaming stage overlap.
+	// Optimized is T_k: the optimized program at k — fused regions,
+	// combiner elimination, and streaming overlap while the input is live.
 	Optimized Mode = iota
-	// Unoptimized is u_k: a combiner after every parallel stage, with a
-	// barrier at every stage boundary.
+	// Unoptimized is u_k: the unoptimized program at k — one region per
+	// stage, a combiner after every parallel stage, a barrier at every
+	// stage boundary.
 	Unoptimized
-	// Serial is u_1: every stage runs to completion in order.
+	// Serial is u_1: the unoptimized program at k = 1.
 	Serial
-	// Pipelined is T_orig: the original pipeline with Unix-style stage
-	// overlap and no data parallelism.
+	// Pipelined is T_orig: the unoptimized program at k = 1 with every
+	// stage running live, overlapped through pipes.
 	Pipelined
 )
 
@@ -429,13 +438,13 @@ func WithMode(m Mode) ExecOption {
 	return func(c *execConfig) { c.mode = m }
 }
 
-// WithFuse toggles the dataflow optimizer's fused execution for Optimized
-// runs (default: on). When on, the plan's optimized region program runs
-// fused regions chunk-parallel end to end — adjacent line-streaming stages
-// execute as one per-chunk pass, combines are elided into order-insensitive
+// WithFuse selects the program an Optimized run walks (default: on). On
+// walks the optimized program: adjacent line-streaming stages execute as
+// one per-chunk pass, combines are elided into order-insensitive
 // consumers, and sort combines push into downstream k-way merge readers;
-// RunReport.Rewrites names what fired. Off reproduces the legacy
-// stage-at-a-time optimized executor (the -fuse=off ablation).
+// RunReport.Rewrites names what fired. Off walks the same graph with
+// those three rewrites disabled and Theorem 5 splits kept (the -fuse=off
+// ablation).
 func WithFuse(on bool) ExecOption {
 	return func(c *execConfig) { c.fuse = on }
 }
@@ -478,7 +487,7 @@ type StageReport struct {
 	Streamed bool
 }
 
-// RegionReport describes one optimizer region of a fused run: the stages
+// RegionReport describes one optimizer region of a Fused run: the stages
 // it covered, the rewrites that shaped it, and region-level metrics. In a
 // fused region the per-stage combine no longer exists — CombineWall is
 // reported here, per region, instead.
@@ -528,15 +537,15 @@ type RunReport struct {
 	// is attributed at the engine's lookup site, so the counts stay
 	// exact under concurrent use of the same System.
 	SynthCache SynthCacheStats
-	// Fused reports that the graph-walking fused executor ran (Optimized
-	// mode with fusion on and a materialized source).
+	// Fused reports that the run walked the optimized program (Optimized
+	// mode with WithFuse on).
 	Fused bool
-	// Rewrites counts, per rule name, the dataflow rewrites the fused
-	// run applied (fuse-streamers, elide-combine, push-sort-merge); nil
-	// when the fused executor did not run.
+	// Rewrites counts, per rule name, the dataflow rewrites the optimized
+	// program applied (fuse-streamers, elide-combine, push-sort-merge);
+	// nil when the run was not Fused.
 	Rewrites map[string]int
-	// Regions holds one entry per optimizer region of a fused run, in
-	// order across pipelines; nil when the fused executor did not run.
+	// Regions holds one entry per optimizer region of a Fused run, in
+	// order across pipelines; nil otherwise.
 	Regions []RegionReport
 	// Output is the captured output stream when no WithOutput sink was
 	// given; empty otherwise.
@@ -552,9 +561,6 @@ type RunReport struct {
 //	    kumquat.WithParallelism(16),
 //	    kumquat.WithStdin(os.Stdin),
 //	    kumquat.WithOutput(os.Stdout))
-//
-// The legacy Run/RunUnoptimized/RunSerial/RunPipelined methods are thin
-// wrappers over Execute with a buffered output sink.
 func (p *Plan) Execute(ctx context.Context, opts ...ExecOption) (*RunReport, error) {
 	cfg := execConfig{k: runtime.GOMAXPROCS(0), mode: Optimized, fuse: true}
 	for _, opt := range opts {
@@ -676,28 +682,3 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	cw.n += int64(n)
 	return n, err
 }
-
-// runCompat executes through Execute with a buffered sink and returns the
-// captured output — the shared body of the legacy string-based entry
-// points.
-func (p *Plan) runCompat(mode Mode, k int) (string, error) {
-	rep, err := p.Execute(context.Background(), WithMode(mode), WithParallelism(k))
-	if err != nil {
-		return "", err
-	}
-	return rep.Output, nil
-}
-
-// Run executes the optimized data-parallel pipeline with k-way parallelism
-// (the paper's T_k configuration).
-func (p *Plan) Run(k int) (string, error) { return p.runCompat(Optimized, k) }
-
-// RunUnoptimized executes with a combiner after every stage (u_k).
-func (p *Plan) RunUnoptimized(k int) (string, error) { return p.runCompat(Unoptimized, k) }
-
-// RunSerial executes every stage to completion in order (u_1).
-func (p *Plan) RunSerial() (string, error) { return p.runCompat(Serial, 1) }
-
-// RunPipelined executes the original pipeline with Unix-style stage
-// overlap (the T_orig configuration).
-func (p *Plan) RunPipelined() (string, error) { return p.runCompat(Pipelined, 1) }

@@ -33,44 +33,28 @@ func registerUnix50Inputs(env *Env) {
 	env.Register("in/names.txt", names.String())
 }
 
-// TestExecuteCompatEquivalence: the legacy Run* wrappers and Execute must
-// produce byte-identical outputs in every mode on the unix50 examples.
-func TestExecuteCompatEquivalence(t *testing.T) {
+// TestExecuteModesMatchSerialUnix50: every execution mode must reproduce
+// the serial ground truth byte for byte on the unix50 examples.
+func TestExecuteModesMatchSerialUnix50(t *testing.T) {
 	env := NewEnv()
 	registerUnix50Inputs(env)
 	sys := New(env)
-	ctx := context.Background()
 	for _, p := range unix50Pipelines {
 		plan, err := sys.Parallelize(p.src + "\n")
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		legacy := map[Mode]func() (string, error){
-			Optimized:   func() (string, error) { return plan.Run(4) },
-			Unoptimized: func() (string, error) { return plan.RunUnoptimized(4) },
-			Serial:      plan.RunSerial,
-			Pipelined:   plan.RunPipelined,
-		}
-		want, err := plan.RunSerial()
+		want, err := runMode(plan, Serial, 1)
 		if err != nil {
 			t.Fatalf("%s serial: %v", p.name, err)
 		}
-		for mode, run := range legacy {
-			old, err := run()
+		for _, mode := range []Mode{Optimized, Unoptimized, Pipelined} {
+			got, err := runMode(plan, mode, 4)
 			if err != nil {
-				t.Errorf("%s %v legacy: %v", p.name, mode, err)
+				t.Errorf("%s %v: %v", p.name, mode, err)
 				continue
 			}
-			rep, err := plan.Execute(ctx, WithMode(mode), WithParallelism(4))
-			if err != nil {
-				t.Errorf("%s %v Execute: %v", p.name, mode, err)
-				continue
-			}
-			if old != rep.Output {
-				t.Errorf("%s %v: legacy and Execute outputs differ (%d vs %d bytes)",
-					p.name, mode, len(old), len(rep.Output))
-			}
-			if rep.Output != want {
+			if got != want {
 				t.Errorf("%s %v: output differs from serial ground truth", p.name, mode)
 			}
 		}

@@ -1,6 +1,7 @@
 package kumquat
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -26,23 +27,23 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if par != 2 || total != 2 {
 		t.Errorf("counts = %d/%d", par, total)
 	}
-	want, err := plan.RunSerial()
+	want, err := runMode(plan, Serial, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{2, 8} {
-		got, err := plan.Run(k)
+		got, err := runMode(plan, Optimized, k)
 		if err != nil || got != want {
-			t.Errorf("Run(%d) = %q, %v; want %q", k, got, err, want)
+			t.Errorf("optimized k=%d = %q, %v; want %q", k, got, err, want)
 		}
-		got, err = plan.RunUnoptimized(k)
+		got, err = runMode(plan, Unoptimized, k)
 		if err != nil || got != want {
-			t.Errorf("RunUnoptimized(%d) = %q, %v", k, got, err)
+			t.Errorf("unoptimized k=%d = %q, %v", k, got, err)
 		}
 	}
-	got, err := plan.RunPipelined()
+	got, err := runMode(plan, Pipelined, 1)
 	if err != nil || got != want {
-		t.Errorf("RunPipelined = %q, %v", got, err)
+		t.Errorf("pipelined = %q, %v", got, err)
 	}
 }
 
@@ -102,4 +103,14 @@ func TestPublicAPITable9(t *testing.T) {
 	if _, err := sys.Synthesize("tail +2"); err == nil {
 		t.Error("tail +2 must fail synthesis (Table 9)")
 	}
+}
+
+// runMode executes the plan in one mode at k and returns the captured
+// output.
+func runMode(plan *Plan, mode Mode, k int) (string, error) {
+	rep, err := plan.Execute(context.Background(), WithMode(mode), WithParallelism(k))
+	if err != nil {
+		return "", err
+	}
+	return rep.Output, nil
 }
